@@ -2703,8 +2703,9 @@ def oracle_sql() -> dict[str, str]:
             FROM sc ORDER BY s DESC, doc_id LIMIT 10
         """,
         # LM-Dirichlet (Zhai & Lafferty 2001): per matched (term, doc),
-        # ln(1 + tf*C/(mu*cf)) + ln(mu/(dl+mu)), mu=2000 — same IEEE op
-        # order as BM25Scorer.score_lm; rank contract (-score, doc_id)
+        # ln(1 + tf*C/(mu*cf)) + ln(mu/(dl+mu)), mu=2000 — the formula
+        # of BM25Scorer.score_lm, not its IEEE op order (DuckDB's SUM
+        # order is unspecified); rank contract (-score, doc_id)
         "lm_dirichlet_topk": f"""
             WITH {TOK_CTE},
             tf AS (SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY 1, 2),

@@ -101,7 +101,7 @@ def run_bench() -> dict:
     from hadoopsearchengine_ray.functions import dedup, text
     from hadoopsearchengine_ray.pipelines.build_index import build_index
     from hadoopsearchengine_ray.pipelines.pagerank import pagerank
-    from hadoopsearchengine_ray.pipelines.query import BM25Scorer, run_queries
+    from hadoopsearchengine_ray.pipelines.query import BM25Scorer
 
     corpus_dir = ensure_bench_corpus(n_docs)
     # warm the page cache so we measure compute + shuffle, not first I/O
@@ -206,11 +206,6 @@ def run_bench() -> dict:
         _lat.append(time.perf_counter() - t0)
     timings["parsed_query_p50_ms"] = round(
         float(np.percentile(np.array(_lat) * 1000, 50)), 3)
-
-    # actor-pool throughput over the same query set
-    t0 = time.perf_counter()
-    run_queries(index_dir, qs, concurrency=max(2, ncpu // 4)).count()
-    timings["bm25_pool_200q"] = round(time.perf_counter() - t0, 3)
 
     # doc-range-partitioned pool (round 3): N range owners, driver merge
     from hadoopsearchengine_ray.pipelines.pool import RangePartitionedPool

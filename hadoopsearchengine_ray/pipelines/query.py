@@ -1,39 +1,46 @@
-"""BM25 top-k query engine: stateful actor-pool scorers over the index.
+"""BM25 top-k query engine: one in-process scorer over the index.
 
 The Ray rebuild of the reference's query serving path
-(/root/reference/DyableRequest/): each scorer actor is the analog of a
-SearchHitItems server — it loads the dictionary + doc-length array once in
-``__init__`` (the reference's 500 MB posting-block cache, ``CHitItemBlock``,
+(``DyableRequest/``): a ``BM25Scorer`` is the analog of one
+SearchHitItems server — it loads the dictionary + doc-length array once
+(the reference's 500 MB posting-block cache, ``CHitItemBlock``,
 FileStorage.h:2105-2170), reads posting partitions on demand with
 term_id-filtered Parquet reads, and caches decoded lists across queries.
+The serving tier (``pool.RangePartitionedPool``) runs one scorer per
+doc-id range inside a Ray actor and merges per-range top-k lists.
 
 Scoring is exact BM25 (k1=1.2, b=0.75, float64, per-term accumulation in
-sorted-term-id order, ties broken by ascending doc_id — matching
+sorted-term order, ties broken by ascending doc_id — matching
 oracle.OracleIndex.bm25_topk and the reference's multi-key comparators,
-CompileRankedList.h:123-163).  The default algorithm is **MaxScore with
-block-max skipping** — the idiomatic equivalent of the reference's
-best-first doc-range bisection pruning (SearchHitItems.h:210-254): terms
-are evaluated in descending score-upper-bound order; once the summed upper
-bounds of the unevaluated terms fall below the running k-th score, the
-remaining (high-df) terms are only decoded for the blocks that contain
-surviving candidates (codec.decode_blocks over the skip arrays).
-Both paths produce identical rankings (asserted in tests).
+CompileRankedList.h:123-163).  Every exact ranking (plain, weighted,
+prior-blended, title-boosted, LM-Dirichlet, AND / filter / NOT /
+query-string candidate sets) is one plan over a single term-at-a-time
+pass, ``BM25Scorer._accumulate``, and the BM25 formula is written once
+(``BM25Scorer._bm25``) — so every range owner scores each doc with the
+same float ops as the single reader.  The default ``score`` algorithm is
+**MaxScore with block-max skipping** — the idiomatic equivalent of the
+reference's best-first doc-range bisection pruning
+(SearchHitItems.h:210-254): terms are evaluated in descending
+score-upper-bound order; once the summed upper bounds of the unevaluated
+terms fall below the running k-th score, the remaining (high-df) terms
+are only decoded for the blocks that contain surviving candidates
+(codec.decode_blocks over the skip arrays).  Both paths produce
+identical rankings (asserted in tests).
 
 Scale note: scores accumulate in a dense float64 array over the dense doc
 id space (one partition's doc range per actor at real scale — the
-reference's ``BoundaryPartion`` doc-range slicing, SearchHitItems.h:300-315;
-in this sandbox one actor holds the whole range).
+reference's ``BoundaryPartion`` doc-range slicing, SearchHitItems.h:300-315).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
-import ray.data as rd
 
 from ..codec import (
     decode_blocks,
@@ -505,11 +512,22 @@ def _topk_from_scores(doc_ids: np.ndarray, scores: np.ndarray, k: int):
     return doc_ids[sel].astype(np.int64), scores[sel]
 
 
-class BM25Scorer:
-    """Callable actor: batch of queries -> top-k rows.
+def _in_sorted(sorted_ids: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mask of the ``d`` values present in ``sorted_ids`` (ascending
+    int64).  An empty set holds nothing: a range owner whose slice has
+    no posting of a term gets an empty set, and nothing matches it."""
+    if len(sorted_ids) == 0:
+        return np.zeros(len(d), bool)
+    idx = np.searchsorted(sorted_ids, d)
+    idx[idx == len(sorted_ids)] = 0
+    return sorted_ids[idx] == d
 
-    Query batch columns: qid (int64), terms (list<string>), k (int64).
-    Output columns: qid, rank, doc_id, score.
+
+class BM25Scorer:
+    """In-process top-k scorer over one reader: every ranking method
+    returns ``(doc_ids, scores)`` ordered by (-score, doc_id).  The
+    range-partitioned pool (``pool.RangePartitionedPool``) runs one
+    scorer per doc range inside a Ray actor.
     """
 
     def __init__(self, index_dir: str, use_maxscore: bool = True,
@@ -560,33 +578,84 @@ class BM25Scorer:
         self._prev = docs
         self._dirty = False
 
-    # ---- exact dense TAAT (the shadow path) ---------------------------
-    def _dense_scores(self, terms: list[str]):
-        """One dense TAAT accumulation pass: (touched docs, their BM25
-        scores).  Shared by ``score_exact`` and ``score_after`` so both
-        pages of a paginated query see bit-identical floats."""
+    # ---- the one term-at-a-time pass ----------------------------------
+    def _bm25(self, w, d, tf):
+        """BM25 contribution at idf-weight ``w`` of term frequency ``tf``
+        in doc(s) ``d`` — the only place the formula is written, so
+        every path (dense, MaxScore, explain) shares one IEEE op order."""
         r = self.rd
+        return w * tf * (r.k1 + 1.0) / (
+            tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl))
+
+    def _accumulate(self, weights: dict[str, float],
+                    keep: np.ndarray | None = None,
+                    drop: np.ndarray | None = None,
+                    postings=None, contrib=None):
+        """One dense term-at-a-time pass: (touched docs, their scores).
+
+        Terms run in sorted order (the oracle's summation order); a
+        term the dictionary lacks adds nothing.  Each posting doc in
+        ``keep`` and not in ``drop`` (sorted int64 doc sets) gains
+        ``_bm25(weights[t] * idf, d, tf)``, or ``contrib(t, d, tf)``
+        when given.  ``postings(t) -> (docs, tfs)`` stands in for the
+        reader's decoded postings."""
+        r = self.rd
+        postings = postings or r.decoded_postings
         scores, touched = self._scratch()
         parts: list[np.ndarray] = []
-        qterms = sorted(set(terms))
-        for t in qterms:
+        for t in sorted(weights):
             ent = r.lookup(t)
             if not ent:
                 continue
-            _, df = ent
-            w = r.idf(df)
-            docs, tfs = r.decoded_postings(t)
+            docs, tfs = postings(t)
             d = docs.astype(np.int64)
+            # drop filtered docs BEFORE accumulation: a selective filter
+            # keeps the dense buffers to the surviving subset
+            if keep is not None:
+                ok = _in_sorted(keep, d)
+                d, tfs = d[ok], tfs[ok]
+            if drop is not None and len(drop):
+                ok = ~_in_sorted(drop, d)
+                d, tfs = d[ok], tfs[ok]
+            if len(d) == 0:
+                continue
             tf = tfs.astype(np.float64)
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
             new = d[~touched[d]]
             if len(new):
                 parts.append(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
+            scores[d] += (self._bm25(weights[t] * r.idf(ent[1]), d, tf)
+                          if contrib is None else contrib(t, d, tf))
             touched[d] = True
         docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
         self._finish(docs)
         return docs, scores[docs]
+
+    def _docs_with_all(self, terms: list[str]) -> np.ndarray | None:
+        """Sorted int64 docs holding every term (posting intersection);
+        None when there are no terms."""
+        cand = None
+        for t in sorted(set(terms)):
+            if self.rd.lookup(t) is None:
+                return np.empty(0, np.int64)   # matches nowhere
+            d = self.rd.decoded_postings(t)[0].astype(np.int64)
+            cand = d if cand is None else np.intersect1d(
+                cand, d, assume_unique=True)
+            if len(cand) == 0:
+                break
+        return cand
+
+    def _docs_with_any(self, terms: list[str]) -> np.ndarray:
+        """Sorted int64 docs holding at least one term (posting union)."""
+        parts = [self.rd.decoded_postings(t)[0].astype(np.int64)
+                 for t in sorted(set(terms)) if self.rd.lookup(t)]
+        return (np.unique(np.concatenate(parts)) if parts
+                else np.empty(0, np.int64))
+
+    def _dense_scores(self, terms: list[str]):
+        """Plain BM25 dense pass: (touched docs, their scores).  Shared
+        by ``score_exact`` and ``score_after`` so both pages of a
+        paginated query see bit-identical floats."""
+        return self._accumulate(dict.fromkeys(terms, 1.0))
 
     def score_exact(self, terms: list[str], k: int):
         docs, s = self._dense_scores(terms)
@@ -597,14 +666,17 @@ class BM25Scorer:
         debug surface (the public Lucene/Elasticsearch 'explain' API
         shape).  Each part carries the raw inputs (tf, df, dl, avgdl)
         and the term's contribution; parts sum IN SORTED-TERM ORDER to
-        the exact dense-pass score (same IEEE op order as
-        ``_dense_scores``), asserted in tests/test_query.py.  Cost is
-        one searchsorted per query term over the decoded postings
-        (decode is cached per actor, so a COLD actor pays one full
-        posting decode per term first — same warm-up any query pays);
-        no corpus access.  A tombstoned doc raises loudly; an id inside
-        the doc-id space that was never indexed (or tokenized to zero
-        tokens) explains as dl=0 with every term unmatched."""
+        the exact dense-pass score (same ``_bm25`` op order as
+        ``_accumulate``), asserted in tests/test_query.py.  On a
+        PageRank-blended scorer the answer also carries ``prior``
+        (``pr_weight * pr[doc]``), added last, so ``total`` is the score
+        ``score()`` ranks the doc by.  Cost is one searchsorted per
+        query term over the decoded postings (decode is cached per
+        actor, so a COLD actor pays one full posting decode per term
+        first — same warm-up any query pays); no corpus access.  A
+        tombstoned doc raises loudly; an id inside the doc-id space
+        that was never indexed (or tokenized to zero tokens) explains
+        as dl=0 with every term unmatched."""
         r = self.rd
         local = int(doc_id) - int(getattr(r, "doc_lo", 0))
         if not (0 <= local < r.doc_space):
@@ -637,14 +709,18 @@ class BM25Scorer:
                 continue
             tf = float(tfs[i])
             w = r.idf(df)
-            denom = tf + r.k1 * (1.0 - r.b + r.b * dl / r.avgdl)
-            contrib = w * tf * (r.k1 + 1.0) / denom
+            contrib = float(self._bm25(w, local, tf))
             total += contrib
             parts.append({"term": t, "matched": True, "df": int(df),
                           "tf": int(tf), "idf": w,
                           "contribution": contrib})
-        return {"doc_id": int(doc_id), "total": total, "dl": dl,
-                "avgdl": r.avgdl, "k1": r.k1, "b": r.b, "parts": parts}
+        out = {"doc_id": int(doc_id), "dl": dl, "avgdl": r.avgdl,
+               "k1": r.k1, "b": r.b, "parts": parts}
+        if self.pr is not None:
+            out["prior"] = float(self.pr_weight * self.pr[local])
+            total += out["prior"]
+        out["total"] = total
+        return out
 
     def score_lm(self, terms: list[str], k: int, mu: float = 2000.0):
         """Query-likelihood ranking with Dirichlet smoothing (Zhai &
@@ -657,13 +733,12 @@ class BM25Scorer:
         where ``cf_t`` is t's collection frequency and ``C`` the total
         token count — both read once per actor from the global
         dictionary (``IndexReader.cf_stats``), so the scorer reuses the
-        exact same decoded postings / dense-accumulator machinery as
-        BM25 and is range-exact on the pool (every doc fully scored by
-        its one range owner, global collection stats everywhere).
+        exact same decoded postings / dense-accumulator pass as BM25
+        and is range-exact on the pool (every doc fully scored by its
+        one range owner, global collection stats everywhere).
         The alternative ranking function the reference's hit scorer
         hard-codes away (SURVEY §2.8); rank contract (-score, doc_id),
-        IEEE op order mirrored by the ``lm_dirichlet_topk`` SQL
-        oracle."""
+        checked against the ``lm_dirichlet_topk`` SQL oracle."""
         r = self.rd
         cf_fn = getattr(r, "cf_stats", None)
         if cf_fn is None:   # delta/tombstone wrappers: cf corrections
@@ -671,24 +746,13 @@ class BM25Scorer:
                 f"LM-Dirichlet needs dictionary cf stats; reader "
                 f"{type(r).__name__} does not expose cf_stats()")
         cf, C = cf_fn()
-        scores, touched = self._scratch()
-        parts: list[np.ndarray] = []
-        for t in sorted(set(terms)):
-            if not r.lookup(t):
-                continue
-            cft = float(cf[t])
-            docs, tfs = r.decoded_postings(t)
-            d = docs.astype(np.int64)
-            tf = tfs.astype(np.float64)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += (np.log(1.0 + tf * float(C) / (mu * cft))
-                          + np.log(mu / (r.dl[d] + mu)))
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        return _topk_from_scores(docs, scores[docs], k)
+
+        def lm(t, d, tf):
+            return (np.log(1.0 + tf * float(C) / (mu * float(cf[t])))
+                    + np.log(mu / (r.dl[d] + mu)))
+
+        docs, s = self._accumulate(dict.fromkeys(terms, 1.0), contrib=lm)
+        return _topk_from_scores(docs, s, k)
 
     def score_after(self, terms: list[str], k: int,
                     after_score: float, after_doc: int):
@@ -738,12 +802,11 @@ class BM25Scorer:
             docs, tfs = r.decoded_postings(t)
             d = docs.astype(np.int64)
             tf = tfs.astype(np.float64)
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
             new = d[~touched[d]]
             if len(new):
                 parts.append(new)
                 n_touched += len(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
+            scores[d] += self._bm25(w, d, tf)
             touched[d] = True
             if n_touched >= k:
                 tdocs = np.concatenate(parts)
@@ -784,8 +847,7 @@ class BM25Scorer:
                     d, tf = d[keep], tf[keep].astype(np.float64)
                     if len(d) == 0:
                         continue
-                    denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-                    scores[d] += w * tf * (r.k1 + 1.0) / denom
+                    scores[d] += self._bm25(w, d, tf)
         self._finish(tdocs)
         return _topk_from_scores(tdocs, scores[tdocs], k)
 
@@ -805,31 +867,18 @@ class BM25Scorer:
         Title tf is DERIVED from in-index positions, no extra storage:
         tf_eff = tf + (boost-1) * #(positions < title_len)."""
         r = self.rd
-        scores, touched = self._scratch()
-        parts: list[np.ndarray] = []
-        for t in sorted(set(terms)):
-            ent = r.lookup(t)
-            if not ent:
-                continue
-            _, df = ent
-            w = r.idf(df)
+
+        def title_tf(t):
             d, f, flat, offs = r.decoded_positions(t)
             if len(d) == 0:
-                continue
-            d = d.astype(np.int64)
-            tf = f.astype(np.float64)
+                return d, f
             tft = np.add.reduceat(
                 (flat < np.uint64(title_len)).astype(np.float64), offs[:-1])
-            tfe = tf + (boost - 1.0) * tft
-            denom = tfe + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += w * tfe * (r.k1 + 1.0) / denom
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        return _topk_from_scores(docs, scores[docs], k)
+            return d, f.astype(np.float64) + (boost - 1.0) * tft
+
+        docs, s = self._accumulate(dict.fromkeys(terms, 1.0),
+                                   postings=title_tf)
+        return _topk_from_scores(docs, s, k)
 
     def score_with_prior(self, terms: list[str], k: int,
                          prior: np.ndarray, prior_weight: float = 1.0):
@@ -838,28 +887,8 @@ class BM25Scorer:
         posting candidates).  ``prior`` is any per-doc authority vector
         (PageRank, hierarchy expected-reward, a blend).  Exact dense
         path so the additive blend stays exact."""
-        r = self.rd
-        scores, touched = self._scratch()
-        parts: list[np.ndarray] = []
-        for t in sorted(set(terms)):
-            ent = r.lookup(t)
-            if not ent:
-                continue
-            _, df = ent
-            w = r.idf(df)
-            docs, tfs = r.decoded_postings(t)
-            d = docs.astype(np.int64)
-            tf = tfs.astype(np.float64)
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        blended = scores[docs] + prior_weight * prior[docs]
-        return _topk_from_scores(docs, blended, k)
+        docs, s = self._dense_scores(terms)
+        return _topk_from_scores(docs, s + prior_weight * prior[docs], k)
 
     def score_blended(self, terms: list[str], k: int):
         """BM25 + pr_weight * pagerank (SHitItem.pulse_score blending)."""
@@ -901,60 +930,19 @@ class BM25Scorer:
             for p in assoc.get(t, [])[:per_term]:
                 if p not in weights:
                     weights[p] = discount
-        r = self.rd
-        scores, touched = self._scratch()
-        parts: list[np.ndarray] = []
-        for t in sorted(weights):
-            ent = r.lookup(t)
-            if not ent:
-                continue
-            _, df = ent
-            w = weights[t] * r.idf(df)
-            docs, tfs = r.decoded_postings(t)
-            d = docs.astype(np.int64)
-            tf = tfs.astype(np.float64)
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        return _topk_from_scores(docs, scores[docs], k)
+        docs, s = self._accumulate(weights)
+        return _topk_from_scores(docs, s, k)
 
     def score_conjunctive(self, terms: list[str], k: int):
         """AND semantics: only docs containing EVERY query term rank
         (the strict form of the reference's match-count-first ordering,
-        CompileRankedList.h multi-key comparators).  No dense arrays:
-        posting lists are doc-ascending (fresh, merged and compacted
-        indexes all guarantee it), so candidates narrow via sorted
-        intersection and per-term tfs attach by searchsorted —
-        O(sum df) per query."""
-        r = self.rd
-        qterms = sorted(set(terms))
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not qterms:
-            return empty
-        dec = []
-        for t in qterms:
-            ent = r.lookup(t)
-            if ent is None:
-                return empty          # a term matched nowhere -> AND is empty
-            d, f = r.decoded_postings(t)
-            dec.append((r.idf(ent[1]), d, f))
-        cand = dec[0][1]
-        for _, d, _ in dec[1:]:
-            cand = np.intersect1d(cand, d, assume_unique=True)
-            if len(cand) == 0:
-                return empty
-        ci = cand.astype(np.int64)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        norm = r.k1 * (1.0 - r.b + r.b * r.dl[ci] / r.avgdl)
-        for w, d, f in dec:
-            tf = f[np.searchsorted(d, cand)].astype(np.float64)
-            scores += w * tf * (r.k1 + 1.0) / (tf + norm)
-        return _topk_from_scores(ci, scores, k)
+        CompileRankedList.h multi-key comparators).  Posting lists are
+        doc-ascending (fresh, merged and compacted indexes all
+        guarantee it), so candidates narrow via sorted intersection;
+        the survivors then score in the one dense pass."""
+        docs, s = self._accumulate(dict.fromkeys(terms, 1.0),
+                                   keep=self._docs_with_all(terms))
+        return _topk_from_scores(docs, s, k)
 
     def score_filtered(self, terms: list[str], k: int,
                        allowed_ids: np.ndarray):
@@ -963,37 +951,10 @@ class BM25Scorer:
         the filter narrows candidates, it does not reweight idf/avgdl —
         standard filter-context semantics, and what the SQL oracle
         computes (global BM25 CTE, predicate at the final select)."""
-        r = self.rd
-        scores, touched = self._scratch()
-        allowed = np.asarray(allowed_ids, dtype=np.int64)
-        parts: list[np.ndarray] = []
-        for t in sorted(set(terms)):
-            ent = r.lookup(t)
-            if not ent:
-                continue
-            _, df = ent
-            w = r.idf(df)
-            docs, tfs = r.decoded_postings(t)
-            d = docs.astype(np.int64)
-            # drop disallowed docs BEFORE accumulation: at scale the
-            # filter is usually selective, so the dense buffers only
-            # ever see the allowed subset
-            idx = np.searchsorted(allowed, d)
-            idx[idx == len(allowed)] = 0
-            ok = len(allowed) > 0
-            inset = (allowed[idx] == d) if ok else np.zeros(len(d), bool)
-            d, tf = d[inset], tfs[inset].astype(np.float64)
-            if len(d) == 0:
-                continue
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        return _topk_from_scores(docs, scores[docs], k)
+        docs, s = self._accumulate(
+            dict.fromkeys(terms, 1.0),
+            keep=np.asarray(allowed_ids, dtype=np.int64))
+        return _topk_from_scores(docs, s, k)
 
     def score_excluding(self, terms: list[str], k: int,
                         not_terms: list[str]):
@@ -1004,43 +965,9 @@ class BM25Scorer:
         Webpage.h:334-346; here exclusion is per-query instead).
         Scoring stats stay global (idf/avgdl unchanged), matching the
         SQL oracle's NOT EXISTS at the final select."""
-        r = self.rd
-        ex_parts = []
-        for t in sorted(set(not_terms)):
-            ent = r.lookup(t)
-            if ent:
-                d, _ = r.decoded_postings(t)
-                ex_parts.append(d.astype(np.int64))
-        if not ex_parts:
-            return self.score_exact(terms, k)
-        excluded = np.unique(np.concatenate(ex_parts))
-
-        scores, touched = self._scratch()
-        parts: list[np.ndarray] = []
-        for t in sorted(set(terms)):
-            ent = r.lookup(t)
-            if not ent:
-                continue
-            _, df = ent
-            w = r.idf(df)
-            docs, tfs = r.decoded_postings(t)
-            d = docs.astype(np.int64)
-            # drop excluded docs BEFORE accumulation (sorted membership)
-            idx = np.searchsorted(excluded, d)
-            idx[idx == len(excluded)] = 0
-            keep = excluded[idx] != d
-            d, tf = d[keep], tfs[keep].astype(np.float64)
-            if len(d) == 0:
-                continue
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        return _topk_from_scores(docs, scores[docs], k)
+        docs, s = self._accumulate(dict.fromkeys(terms, 1.0),
+                                   drop=self._docs_with_any(not_terms))
+        return _topk_from_scores(docs, s, k)
 
     def score_query(self, qstr: str, k: int, max_expansions: int = 512):
         """One-call front-end search over the full query-string syntax
@@ -1065,110 +992,21 @@ class BM25Scorer:
                 weights[t] = max(weights.get(t, 0.0), w)
         if not weights:
             return empty
-        cand = None                      # required-candidate doc set
-        for t in sorted(set(p["required"])):
-            if r.lookup(t) is None:
-                return empty             # required term matches nowhere
-            d, _ = r.decoded_postings(t)
-            d = d.astype(np.int64)
-            cand = d if cand is None else np.intersect1d(
-                cand, d, assume_unique=True)
-            if len(cand) == 0:
-                return empty
+        cand = self._docs_with_all(p["required"])   # None: no AND terms
+        if cand is not None and len(cand) == 0:
+            return empty
         if p["phrases"] or p["nears"]:
             # lazy import: positional.py imports this module
             from .positional import near_counts, phrase_counts
-            for terms in p["phrases"]:
-                d, _ = phrase_counts(r, terms)
+            preds = itertools.chain(
+                (phrase_counts(r, terms)[0] for terms in p["phrases"]),
+                (near_counts(r, a, b, slop, ordered)[0]
+                 for a, b, slop, ordered in p["nears"]))
+            for d in preds:
                 cand = d if cand is None else np.intersect1d(
                     cand, d, assume_unique=True)
                 if len(cand) == 0:
                     return empty
-            for a, b, slop, ordered in p["nears"]:
-                d, _ = near_counts(r, a, b, slop, ordered)
-                cand = d if cand is None else np.intersect1d(
-                    cand, d, assume_unique=True)
-                if len(cand) == 0:
-                    return empty
-        ex_parts = []
-        for t in sorted(set(p["excluded"])):
-            if r.lookup(t):
-                d, _ = r.decoded_postings(t)
-                ex_parts.append(d.astype(np.int64))
-        excluded = np.unique(np.concatenate(ex_parts)) if ex_parts else None
-        if cand is not None and excluded is not None:
-            idx = np.searchsorted(excluded, cand)
-            idx[idx == len(excluded)] = 0
-            cand = cand[excluded[idx] != cand]
-            if len(cand) == 0:
-                return empty
-            excluded = None              # already folded into cand
-
-        scores, touched = self._scratch()
-        parts: list[np.ndarray] = []
-        for t in sorted(weights):
-            ent = r.lookup(t)
-            if not ent:
-                continue
-            _, df = ent
-            w = weights[t] * r.idf(df)
-            docs, tfs = r.decoded_postings(t)
-            d = docs.astype(np.int64)
-            tf = tfs.astype(np.float64)
-            if cand is not None:
-                idx = np.searchsorted(cand, d)
-                idx[idx == len(cand)] = 0
-                inset = cand[idx] == d
-                d, tf = d[inset], tf[inset]
-            elif excluded is not None:
-                idx = np.searchsorted(excluded, d)
-                idx[idx == len(excluded)] = 0
-                keep = excluded[idx] != d
-                d, tf = d[keep], tf[keep]
-            if len(d) == 0:
-                continue
-            denom = tf + r.k1 * (1.0 - r.b + r.b * r.dl[d] / r.avgdl)
-            new = d[~touched[d]]
-            if len(new):
-                parts.append(new)
-            scores[d] += w * tf * (r.k1 + 1.0) / denom
-            touched[d] = True
-        docs = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        self._finish(docs)
-        return _topk_from_scores(docs, scores[docs], k)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, ranks, docs, scores = [], [], [], []
-        for qid, terms, k in zip(
-            batch["qid"].to_pylist(),
-            batch["terms"].to_pylist(),
-            batch["k"].to_pylist(),
-        ):
-            d, s = self.score(list(terms), int(k))
-            for rank, (di, si) in enumerate(zip(d, s), start=1):
-                qids.append(qid)
-                ranks.append(rank)
-                docs.append(int(di))
-                scores.append(float(si))
-        return pa.table({
-            "qid": pa.array(qids, pa.int64()),
-            "rank": pa.array(ranks, pa.int32()),
-            "doc_id": pa.array(docs, pa.int64()),
-            "score": pa.array(scores, pa.float64()),
-        })
-
-
-def run_queries(index_dir: str, queries: list[dict], concurrency: int = 4,
-                use_maxscore: bool = True) -> rd.Dataset:
-    """Replay a query set through the scorer actor pool -> Dataset of
-    (qid, rank, doc_id, score)."""
-    qds = rd.from_items(
-        [{"qid": q["qid"], "terms": q["terms"], "k": q.get("k", 10)} for q in queries]
-    )
-    return qds.map_batches(
-        BM25Scorer,
-        fn_constructor_args=(index_dir, use_maxscore),
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=concurrency,
-    )
+        docs, s = self._accumulate(weights, keep=cand,
+                                   drop=self._docs_with_any(p["excluded"]))
+        return _topk_from_scores(docs, s, k)

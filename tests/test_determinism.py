@@ -6,6 +6,7 @@ interchangeable (the elasticity property the reference lacks — its 256-
 client layout is baked into file names, SURVEY.md §4.1)."""
 
 import json
+import os
 
 import numpy as np
 import pyarrow.dataset as pads
@@ -76,7 +77,8 @@ def test_identical_index_across_num_cpus(tmp_path):
     for ncpu, out in ((2, tmp_path / "cpu2"), (8, tmp_path / "cpu8")):
         subprocess.run(
             [sys.executable, "-c", script, str(ncpu), c, str(out)],
-            check=True, capture_output=True, cwd="/root/repo",
+            check=True, capture_output=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
     f1 = _index_fingerprint(str(tmp_path / "cpu2"))
     f2 = _index_fingerprint(str(tmp_path / "cpu8"))

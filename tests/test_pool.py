@@ -317,3 +317,47 @@ def test_nrt_pool_delta_only_no_corpus_needed(nrt_pool_env,
         assert any(int(x) >= 120 for x in dd)
     finally:
         pool.shutdown()
+
+
+def test_pool_excluded_term_absent_from_a_range(tmp_path):
+    """``-term`` where the excluded term has postings in only one of 2
+    ranges: the other owner sees an empty exclusion set, which must
+    exclude nothing (it used to raise IndexError)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from hadoopsearchengine_ray.pipelines.build_index import build_index
+
+    # "gamma" occurs only in docs 0-4, i.e. only in the first range
+    texts = [f"alpha beta doc{i:04d}" + (" gamma" if i < 5 else "")
+             for i in range(10)]
+    pq.write_table(pa.table({"doc_id": pa.array(range(10), pa.int64()),
+                             "text": texts}), str(tmp_path / "c.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c.parquet"), idx, id_mode="column",
+                text_col="text")
+    single = BM25Scorer(idx)
+    want_d, want_s = single.score_query("alpha -gamma", 10)
+    assert want_d.tolist() == list(range(5, 10))
+    ex_d, ex_s = single.score_excluding(["alpha"], 10, ["gamma"])
+    assert ex_d.tolist() == want_d.tolist()
+    assert ex_s.tobytes() == want_s.tobytes()
+    pool = RangePartitionedPool(idx, num_ranges=2)
+    try:
+        assert len(pool.bounds) == 2
+        d, s = pool.score_query("alpha -gamma", 10)
+        assert d.tolist() == want_d.tolist()
+        assert s.tobytes() == want_s.tobytes()
+        # score_excluding as each range owner runs it, merged the way
+        # the pool merges
+        parts = []
+        for lo, hi in pool.bounds:
+            owner = BM25Scorer(idx, reader=IndexReader(idx, doc_lo=lo,
+                                                       doc_hi=hi))
+            od, os_ = owner.score_excluding(["alpha"], 10, ["gamma"])
+            parts.append((od + lo, os_))
+        d, s = RangePartitionedPool._merge(parts, 10)
+        assert d.tolist() == ex_d.tolist()
+        assert s.tobytes() == ex_s.tobytes()
+    finally:
+        pool.shutdown()

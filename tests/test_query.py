@@ -4,7 +4,7 @@ MaxScore == exact-dense equivalence and the empty/unknown-term contract."""
 import numpy as np
 
 from hadoopsearchengine_ray import oracle
-from hadoopsearchengine_ray.pipelines.query import BM25Scorer, run_queries
+from hadoopsearchengine_ray.pipelines.query import BM25Scorer
 
 
 def _gold(idx, q):
@@ -31,15 +31,20 @@ def test_unknown_terms_empty_result(t1_index_dir):
     assert len(d) == 0 and len(s) == 0
 
 
-def test_actor_pool_run_queries(t1_index_dir, t1_oracle):
+def test_range_pool_replay(t1_index_dir, t1_oracle):
+    from hadoopsearchengine_ray.pipelines.pool import RangePartitionedPool
+
     idx, _ = t1_oracle
     queries = oracle.make_queries(idx, 40)
-    out = run_queries(t1_index_dir, queries, concurrency=2).to_pandas()
-    for q in queries:
+    pool = RangePartitionedPool(t1_index_dir, num_ranges=2)
+    try:
+        out = pool.replay(queries)
+    finally:
+        pool.shutdown()
+    for q, (d, s) in zip(queries, out):
         gd, gs = _gold(idx, q)
-        sub = out[out.qid == q["qid"]].sort_values("rank")
-        assert list(sub.doc_id) == gd, q
-        assert np.allclose(sub.score.to_numpy(), gs, atol=1e-6)
+        assert [int(x) for x in d] == gd, q
+        assert np.allclose(s, gs, atol=1e-6)
 
 
 def test_hot_term_query_uses_salted_rows(t1_index_dir, t1_oracle):
@@ -441,6 +446,35 @@ def test_explain_parts_sum_to_dense_score(t1_index_dir, t1_oracle):
 
     with pytest.raises(ValueError, match="outside"):
         sc.explain(["def"], 10**9)
+
+
+def test_explain_on_blended_scorer_adds_prior(t1_index_dir, t1_oracle,
+                                             tmp_path):
+    """With a PageRank prior attached, explain carries a ``prior`` part
+    (pr_weight * pr[doc]) and its total is bit-identical to the score
+    ``score()`` ranks the doc by."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    idx, _ = t1_oracle
+    pr = np.random.default_rng(7).random(idx.N)
+    pr_dir = tmp_path / "pr"
+    pr_dir.mkdir()
+    pq.write_table(pa.table({"doc_id": pa.array(np.arange(idx.N), pa.int64()),
+                             "pr_score": pr}), str(pr_dir / "pr.parquet"))
+    w = 0.3
+    sc = BM25Scorer(t1_index_dir, pagerank_dir=str(pr_dir), pr_weight=w)
+    plain = BM25Scorer(t1_index_dir)
+    for q in oracle.make_queries(idx, 15):
+        d, s = sc.score(q["terms"], q["k"])
+        for doc, want in list(zip(d, s))[:3]:
+            ex = sc.explain(q["terms"], int(doc))
+            assert ex["prior"] == w * pr[int(doc)]
+            assert ex["total"] == float(want)     # bit-identical
+            bm25 = plain.explain(q["terms"], int(doc))
+            assert "prior" not in bm25
+            assert ex["parts"] == bm25["parts"]
+            assert ex["total"] == bm25["total"] + ex["prior"]
 
 
 def test_explain_pool_routes_to_owner(t1_index_dir, t1_oracle):

@@ -7,12 +7,16 @@ order-insensitive values.  Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+# the checkout this script lives in: its engine is the one checked
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
@@ -64,6 +68,11 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
+    sys.path.insert(0, ROOT)
+    # Ray workers started below inherit this, so they import the same
+    # checkout's package as the driver
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
     import ray
 
     if not ray.is_initialized():
@@ -73,7 +82,6 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
